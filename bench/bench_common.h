@@ -52,8 +52,6 @@ struct RunOutcome {
   double exec_wall_ms = 0;
   // Memory-adaptive execution observations (zeros unless the run spilled).
   SpillCounters spill;
-  // Sharded-evaluation observations (zeros unless num_shards >= 1).
-  ShardStats shard;
   // Why the governor tripped, when it did (kNone on clean runs).
   TripReason trip_reason = TripReason::kNone;
   // Hash-table probe count (ExecContext::hash_probes) and the process-wide
@@ -79,8 +77,7 @@ inline RunOutcome RunOnce(const HybridOptimizer& optimizer,
                           std::size_t num_threads = 1,
                           std::size_t memory_budget_bytes =
                               std::numeric_limits<std::size_t>::max(),
-                          bool enable_spill = false,
-                          std::size_t num_shards = 0) {
+                          bool enable_spill = false) {
   RunOptions options;
   options.mode = mode;
   options.seed = seed;
@@ -94,7 +91,6 @@ inline RunOutcome RunOnce(const HybridOptimizer& optimizer,
   options.num_threads = num_threads;
   options.memory_budget_bytes = memory_budget_bytes;
   options.enable_spill = enable_spill;
-  options.num_shards = num_shards;
   Tracer tracer;
   if (TraceDir() != nullptr) options.trace.tracer = &tracer;
   const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
@@ -132,7 +128,6 @@ inline RunOutcome RunOnce(const HybridOptimizer& optimizer,
   outcome.plan_wall_ms = run->plan_seconds * 1e3;
   outcome.exec_wall_ms = run->exec_seconds * 1e3;
   outcome.spill = run->spill;
-  outcome.shard = run->shard;
   outcome.trip_reason = run->governor.trip_reason;
   outcome.hash_probes = run->ctx.hash_probes.load();
   return outcome;
@@ -193,29 +188,6 @@ inline void SetCounters(benchmark::State& state, const RunOutcome& outcome) {
         static_cast<double>(outcome.spill.partitions);
     state.counters["max_recursion_depth"] =
         static_cast<double>(outcome.spill.max_recursion_depth);
-  }
-  // Shard-exchange columns: what a process-split exchange would put on the
-  // wire (Bloom + exact-key bytes) against the row-broadcast baseline. CI's
-  // sharded job asserts the >=10x ratio straight off these JSON counters.
-  if (outcome.shard.num_shards > 0) {
-    state.counters["shards"] =
-        static_cast<double>(outcome.shard.num_shards);
-    state.counters["shard_partitions"] =
-        static_cast<double>(outcome.shard.partitions);
-    state.counters["shard_replicated"] =
-        static_cast<double>(outcome.shard.replicated);
-    state.counters["shard_exchanges"] =
-        static_cast<double>(outcome.shard.exchanges);
-    state.counters["shard_exact_exchanges"] =
-        static_cast<double>(outcome.shard.exact_exchanges);
-    state.counters["shard_filter_bytes"] =
-        static_cast<double>(outcome.shard.filter_bytes);
-    state.counters["shard_key_bytes"] =
-        static_cast<double>(outcome.shard.key_bytes);
-    state.counters["shard_row_ship_bytes"] =
-        static_cast<double>(outcome.shard.row_ship_bytes);
-    state.counters["shard_rows_pruned"] =
-        static_cast<double>(outcome.shard.rows_pruned);
   }
   state.counters["threads"] = static_cast<double>(outcome.threads);
   state.counters["plan_wall_ms"] = outcome.plan_wall_ms;

@@ -8,8 +8,9 @@
 //
 // Load test (the CI server job and tools/check.sh --server run this):
 //
-//   $ ./htqo_client --port 7070 --loadtest --clients 4,16,64 \
-//         --queries 10 --json BENCH_server.json
+//   $ ./htqo_client --port 7070 --loadtest --clients 4,16,64 --queries 10
+//
+// (add --json BENCH_server.json to record every level as JSON).
 //
 // Each level spawns N worker threads across 4 tenants (t0..t3), every
 // worker running the query template with a per-query deadline, honoring

@@ -59,8 +59,6 @@ int Usage(const char* argv0) {
       "  --mem-budget <bytes>      process-wide memory budget (enables "
       "spill)\n"
       "  --threads <n>             per-query worker lanes (default 1)\n"
-      "  --shards <n>              hash-partition shards per query (0 = "
-      "off)\n"
       "  --default-deadline <s>    deadline for QUERY without deadline_ms "
       "(default 30)\n"
       "  --idle-timeout <s>        session idle timeout (default 300)\n"
@@ -144,9 +142,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.run_template.num_threads =
           static_cast<std::size_t>(std::atoll(next("threads")));
-    } else if (arg == "--shards") {
-      options.run_template.num_shards =
-          static_cast<std::size_t>(std::atoll(next("shards")));
     } else if (arg == "--default-deadline") {
       options.default_deadline_seconds = std::atof(next("seconds"));
     } else if (arg == "--idle-timeout") {

@@ -89,8 +89,6 @@ void PrintHelp() {
       "  \\mem <bytes>                       memory budget + spilling (0 = off)\n"
       "  \\spill <dir>                       spill directory (- = system tmp)\n"
       "  \\threads <n>                       worker lanes (1 = serial)\n"
-      "  \\shards <n>                        hash-partition shards (0 = "
-      "off)\n"
       "  \\cache [on|off|clear]              plan cache control; no argument\n"
       "                                     prints hit/miss/eviction stats\n"
       "  \\vectorized [on|off]               batch engine (default on); off\n"
@@ -193,15 +191,6 @@ void RunSql(ShellState& state, const std::string& sql) {
                   "recursion depth %zu\n",
                   run->spill.spill_events, run->spill.bytes_written,
                   run->spill.partitions, run->spill.max_recursion_depth);
-    }
-    if (run->shard.num_shards > 0 && run->shard.exchanges > 0) {
-      std::printf("shards: %zu (%zu partitioned, %zu replicated), "
-                  "%zu exchange(s) shipped %zu filter + %zu key bytes "
-                  "(vs %zu row bytes), pruned %zu rows\n",
-                  run->shard.num_shards, run->shard.partitions,
-                  run->shard.replicated, run->shard.exchanges,
-                  run->shard.filter_bytes, run->shard.key_bytes,
-                  run->shard.row_ship_bytes, run->shard.rows_pruned);
     }
   }
   if (state.analyze) {
@@ -347,14 +336,6 @@ bool HandleCommand(ShellState& state, const std::string& line) {
     state.options.num_threads = n > 1 ? static_cast<std::size_t>(n) : 1;
     std::printf("threads = %zu%s\n", state.options.num_threads,
                 state.options.num_threads == 1 ? " (serial engine)" : "");
-  } else if (cmd == "\\shards") {
-    long long n = 0;
-    in >> n;
-    state.options.num_shards = n > 0 ? static_cast<std::size_t>(n) : 0;
-    std::printf("shards = %zu%s\n", state.options.num_shards,
-                state.options.num_shards == 0
-                    ? " (sharded evaluation off)"
-                    : " (hash-partitioned semijoin reduction)");
   } else if (cmd == "\\cache") {
     std::string arg;
     in >> arg;

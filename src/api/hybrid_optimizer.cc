@@ -51,7 +51,6 @@ void MergeSubRun(const QueryRun& sub, QueryRun* into) {
   into->exec_seconds += sub.exec_seconds;
   into->governor.Merge(sub.governor);
   into->spill.Merge(sub.spill);
-  into->shard.Merge(sub.shard);
   into->degradations.insert(into->degradations.end(),
                             sub.degradations.begin(),
                             sub.degradations.end());
@@ -360,14 +359,11 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
     return RunResolved(*rq, options);
   }
 
-  // Materialize every derived table into a scratch database, then run the
-  // rewritten outer statement against it.
-  Catalog scratch;
-  for (const std::string& name : catalog_->Names()) {
-    scratch.Put(name, *catalog_->Find(name));
-  }
-  StatisticsRegistry scratch_stats;
-  if (stats_ != nullptr) scratch_stats = *stats_;
+  // Materialize every derived table into a scratch database layered over
+  // the caller's (base relations and their statistics resolve through it
+  // uncopied), then run the rewritten outer statement against it.
+  Catalog scratch(catalog_);
+  StatisticsRegistry scratch_stats(stats_);
 
   SelectStatement rewritten = stmt.Clone();
   QueryRun accumulated;
@@ -386,7 +382,12 @@ Result<QueryRun> HybridOptimizer::RunStatement(const SelectStatement& stmt,
 
     std::string derived_name =
         "htqo_derived_" + std::to_string(derived_count++) + "_" + table.alias;
-    scratch_stats.Put(derived_name, CollectStats(sub_run->output));
+    // The derived table's epoch moves only with its inputs' statistics, so
+    // an identical re-run keeps the outer plan cached.
+    std::vector<std::string> inputs;
+    table.subquery->CollectBaseTables(&inputs);
+    scratch_stats.PutDerived(derived_name, CollectStats(sub_run->output),
+                             inputs);
     scratch.Put(derived_name, std::move(sub_run->output));
     table.name = derived_name;
     table.subquery.reset();
@@ -415,30 +416,12 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
   run.ctx.row_budget = options.row_budget;
   run.ctx.work_budget = options.work_budget;
   // Process-wide worker pool; nullptr (serial) when num_threads <= 1.
-  // Sharded runs fan each wave out over num_shards x num_threads lanes, so
-  // the pool is grown to the product up front — otherwise shard pieces
-  // would serialize behind each other on a pool sized for one shard.
-  const std::size_t shard_lanes =
-      std::max<std::size_t>(std::size_t{1}, options.num_shards);
-  ThreadPool* pool = ThreadPool::Shared(std::min(
-      kMaxShardLanes, options.num_threads * shard_lanes));
+  ThreadPool* pool = ThreadPool::Shared(options.num_threads);
   run.ctx.pool = pool;
   run.ctx.num_threads = options.num_threads;
   run.ctx.vectorized = options.use_vectorized;
   run.ctx.tracer = tracer;
   run.ctx.trace_parent = Tracer::CurrentParent(tracer);
-
-  // Sharded evaluation (DESIGN.md §6j): stack-owned runtime, borrowed by
-  // the context like the governor; seal() snapshots and detaches it. The
-  // forest-reduction evaluators check ctx->shard themselves; quantitative
-  // modes simply never look at it.
-  ShardRuntime shard_runtime;
-  shard_runtime.options.num_shards = options.num_shards;
-  shard_runtime.options.replicate_threshold =
-      options.shard_replicate_threshold;
-  shard_runtime.options.exact_key_threshold =
-      options.shard_exact_key_threshold;
-  if (options.num_shards >= 1) run.ctx.shard = &shard_runtime;
 
   if (rq.cq.always_false) {
     auto out = EvaluateSelectOutput(rq, EmptyAnswer(rq), &run.ctx);
@@ -447,7 +430,6 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
     run.plan_description = "constant-false";
     run.ctx.tracer = nullptr;
     run.ctx.trace_parent = 0;
-    run.ctx.shard = nullptr;  // stack-local runtime, must not escape
     MetricsRegistry::Global().GetCounter(kMetricQueriesTotal)->Increment();
     return run;
   }
@@ -527,10 +509,6 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
       }
     }
     run.ctx.spill = nullptr;
-    if (run.ctx.shard != nullptr) {
-      run.shard = run.ctx.shard->Snapshot();
-      run.ctx.shard = nullptr;  // stack-local runtime, must not escape
-    }
     // The tracer is caller-owned like the governor: don't let the borrowed
     // pointer escape through the embedded context.
     run.ctx.tracer = nullptr;
@@ -562,18 +540,6 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
     if (!run.degradations.empty()) {
       metrics.GetCounter(kMetricDegradationStepsTotal)
           ->Add(run.degradations.size());
-    }
-    if (run.shard.num_shards > 0) {
-      metrics.GetCounter(kMetricShardedQueriesTotal)->Increment();
-      metrics.GetCounter(kMetricShardFilterBytesTotal)
-          ->Add(run.shard.filter_bytes);
-      metrics.GetCounter(kMetricShardKeyBytesTotal)->Add(run.shard.key_bytes);
-      metrics.GetCounter(kMetricShardRowShipBytesTotal)
-          ->Add(run.shard.row_ship_bytes);
-      metrics.GetCounter(kMetricShardRowsPrunedTotal)
-          ->Add(run.shard.rows_pruned);
-      metrics.GetHistogram(kMetricShardExchangesPerQuery)
-          ->Record(run.shard.exchanges);
     }
   };
   auto budget_tripped = [&](const Status& s) {
@@ -1064,11 +1030,8 @@ Result<RewrittenQuery> HybridOptimizer::RewriteQuery(
 Result<Relation> ExecuteRewrittenQuery(const RewrittenQuery& rewritten,
                                        const Catalog& base,
                                        ExecContext* ctx) {
-  // Scratch catalog: base relations plus materialized views.
-  Catalog scratch;
-  for (const std::string& name : base.Names()) {
-    scratch.Put(name, *base.Find(name));
-  }
+  // Scratch catalog: materialized views layered over the base relations.
+  Catalog scratch(&base);
 
   RunOptions options;
   options.mode = OptimizerMode::kDpStatistics;  // any engine would do

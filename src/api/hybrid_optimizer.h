@@ -34,7 +34,6 @@
 
 #include "cq/isolator.h"
 #include "exec/operators.h"
-#include "exec/shard.h"
 #include "obs/trace.h"
 #include "opt/qhd_planner.h"
 #include "rewrite/view_rewriter.h"
@@ -125,23 +124,6 @@ struct RunOptions {
   // Results and chosen decompositions are bit-identical at any setting.
   std::size_t num_threads = 1;
 
-  // --- Sharded evaluation (off by default). With num_shards >= 1, the
-  // Yannakakis/q-HD reduction passes run as a hash-partitioned semijoin
-  // program: each forest node's relation splits into num_shards pieces on
-  // its parent-link join columns (small or keyless relations broadcast via
-  // replicate-small), and the up/down passes ship blocked Bloom filters —
-  // or exact key sets under shard_exact_key_threshold — between pieces
-  // instead of rows (exec/shard.h, DESIGN.md §6j). Final output is
-  // byte-identical to the unsharded engine for the forest-reduction modes
-  // and identical across any S and thread count for all supported modes;
-  // RunResolved grows the shared pool by num_threads x num_shards so shard
-  // fan-out gets real lanes. num_shards = 1 runs the full sharded path
-  // with one piece (the scale-out baseline); 0 keeps sharding entirely
-  // off. Plan-only modes (DP/GEQO/Naive) and replan-armed runs ignore it.
-  std::size_t num_shards = 0;
-  std::size_t shard_replicate_threshold = 64;
-  std::size_t shard_exact_key_threshold = 4096;
-
   // --- Plan caching (opt-in). With use_plan_cache set, every q-HD width
   // attempt consults the process-wide DecompCache before searching: the
   // query's hypergraph is canonicalized (cache.lookup span), and a fresh
@@ -212,10 +194,6 @@ struct QueryRun {
   // Mid-query replans taken (enable_replan only). Each one also appends a
   // kReplan degradation entry and bumps governor.replan_trips.
   std::size_t replans = 0;
-  // Sharded-evaluation activity (zeros when num_shards == 0): partition/
-  // replicate counts, exchange message volume vs. the row-shipping
-  // baseline, rows pruned by exchange probes, and piece-size skew.
-  ShardStats shard;
 
   // Whether the produced plan differs from what the requested mode would
   // have produced unconstrained. Derived — `degradations` is the single

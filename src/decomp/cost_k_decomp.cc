@@ -293,7 +293,7 @@ class CostSearch {
 
   void ChargeMemo() {
     if (governor_ != nullptr) {
-      (void)governor_->ChargeMemory(
+      (void)governor_->ReserveMemory(
           decomp_internal::ApproxSubproblemBytes(h_));
     }
   }

@@ -54,7 +54,8 @@ class DetSearch {
     if (governor_ != nullptr && governor_->exhausted()) return false;
     if (governor_ != nullptr) {
       // Ignore the trip here (checked by the caller); keep accounting exact.
-      (void)governor_->ChargeMemory(decomp_internal::ApproxSubproblemBytes(h_));
+      (void)governor_->ReserveMemory(
+          decomp_internal::ApproxSubproblemBytes(h_));
     }
     memo_.emplace(std::move(key), std::move(found));
     return memo_.at({comp, conn}).has_value();

@@ -28,7 +28,6 @@
 namespace htqo {
 
 class ReplanController;
-struct ShardRuntime;
 
 // Budget/accounting shared by one query execution. Counters saturate at
 // SIZE_MAX instead of wrapping, so near-max budgets cannot be lapped.
@@ -78,13 +77,6 @@ struct ExecContext {
   // Borrowed like `governor`; nullptr (the default) keeps every operator on
   // the exact non-adaptive code path.
   ReplanController* replan = nullptr;
-  // Sharded evaluation (exec/shard.h): with a runtime attached, the
-  // Yannakakis/q-HD reduction passes run as a hash-partitioned semijoin
-  // program with Bloom-filter exchange between shard pieces. Borrowed like
-  // `governor`; nullptr (the default) keeps the single-shard code paths.
-  // Replan-armed runs ignore it (replanning already owns the wave
-  // barriers); sharding silently stays off there.
-  ShardRuntime* shard = nullptr;
 
   std::atomic<std::size_t> rows_charged{0};
   std::atomic<std::size_t> work_charged{0};
@@ -120,7 +112,6 @@ struct ExecContext {
     trace_parent = other.trace_parent;
     vectorized = other.vectorized;
     replan = other.replan;
-    shard = other.shard;
     rows_charged.store(other.rows_charged.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
     work_charged.store(other.work_charged.load(std::memory_order_relaxed),
@@ -179,24 +170,39 @@ struct ExecContext {
   }
 
   // True when materializing `projected_bytes` more working set should take
-  // the spill path: a manager is armed and the projection added to the
-  // governor's live balance crosses the soft threshold.
+  // the spill path: a manager is armed and the projection, added to the
+  // governor's base balance (search memos) and the calling lane's working
+  // sets, crosses the soft threshold. Other lanes' working sets are left
+  // out: they move with scheduling, and spill decisions must not.
   bool ShouldSpill(std::size_t projected_bytes) const {
     if (spill == nullptr) return false;
-    std::size_t live =
-        governor != nullptr ? governor->live_memory_bytes() : 0;
-    return SaturatingAdd(live, projected_bytes) > soft_memory_bytes;
+    std::size_t held =
+        governor != nullptr
+            ? SaturatingAdd(governor->base_memory_bytes(), LaneTableBytes())
+            : 0;
+    return SaturatingAdd(held, projected_bytes) > soft_memory_bytes;
   }
 
   // Live-memory accounting for operator working sets (hash tables, loaded
   // spill partitions). Charge may trip the governor's hard memory budget;
-  // Release credits the balance back when the working set is freed.
+  // Release credits the balance back when the working set is freed. Both
+  // also track the calling lane's share for ShouldSpill.
   Status ChargeTableMemory(std::size_t bytes) {
+    LaneTableBytes() += bytes;
     if (governor == nullptr) return Status::Ok();
     return governor->ChargeMemory(bytes);
   }
   void ReleaseTableMemory(std::size_t bytes) {
+    LaneTableBytes() -= bytes;
     if (governor != nullptr) governor->ReleaseMemory(bytes);
+  }
+
+ private:
+  // Working-set bytes the calling thread holds: operators charge and release
+  // on one thread, and a lane runs one task at a time.
+  static std::size_t& LaneTableBytes() {
+    thread_local std::size_t bytes = 0;
+    return bytes;
   }
 };
 

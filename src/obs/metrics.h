@@ -326,23 +326,6 @@ inline constexpr const char kMetricFlightRecordsTotal[] =
     "htqo_flight_records_total";
 inline constexpr const char kMetricDebugRequestsTotal[] =
     "htqo_debug_requests_total";
-// Sharded evaluation (DESIGN.md §6j). queries counts runs that executed
-// with a shard runtime attached (num_shards >= 1); exchange bytes split
-// what a process-split exchange would put on the wire (Bloom filters vs
-// exact key sets) against the row-shipping baseline the same links would
-// have broadcast; rows_pruned counts rows dropped by exchange probes.
-inline constexpr const char kMetricShardedQueriesTotal[] =
-    "htqo_sharded_queries_total";
-inline constexpr const char kMetricShardFilterBytesTotal[] =
-    "htqo_shard_filter_bytes_total";
-inline constexpr const char kMetricShardKeyBytesTotal[] =
-    "htqo_shard_key_bytes_total";
-inline constexpr const char kMetricShardRowShipBytesTotal[] =
-    "htqo_shard_row_ship_bytes_total";
-inline constexpr const char kMetricShardRowsPrunedTotal[] =
-    "htqo_shard_rows_pruned_total";
-inline constexpr const char kMetricShardExchangesPerQuery[] =
-    "htqo_shard_exchanges_per_query";
 // Build identity / process lifetime (satellite of DESIGN.md §6i); the
 // build-info gauge is synthesized in PrometheusText, always 1, with
 // version/git_sha/sanitizer labels.

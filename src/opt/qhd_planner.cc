@@ -6,7 +6,6 @@
 #include "cq/hypergraph_builder.h"
 #include "exec/adaptive.h"
 #include "exec/executor.h"
-#include "exec/shard.h"
 #include "opt/tree_waves.h"
 
 namespace htqo {
@@ -72,34 +71,6 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
     }
   }
 
-  // Sharded evaluation: scan every atom once (fanned across the pool's
-  // shard lanes) and pre-reduce the scans with the hash-partitioned
-  // exchange program over a spanning forest of the shares-a-variable
-  // graph — sound even for cyclic queries, where it only drops rows that
-  // cannot match a neighbouring atom on their shared variables. Nodes then
-  // fold pre-reduced copies instead of re-scanning. The reduced contents
-  // are S-invariant, so the greedy fold (and the final output) is
-  // byte-identical at any shard count; vs. the unsharded engine only the
-  // row multiset is guaranteed (smaller inputs can reorder the fold).
-  // Replan-armed runs keep the scan path: replanning owns the barriers.
-  const bool sharded = ctx->shard != nullptr && rc == nullptr;
-  std::vector<Relation> reduced_atoms;
-  if (sharded) {
-    reduced_atoms.resize(rq.cq.atoms.size());
-    Status s = ShardParallelMap(ctx, reduced_atoms.size(),
-                                [&](std::size_t a) -> Status {
-                                  auto scan = ScanAtom(rq, a, catalog, ctx);
-                                  if (!scan.ok()) return scan.status();
-                                  reduced_atoms[a] = std::move(scan.value());
-                                  return Status::Ok();
-                                });
-    if (!s.ok()) return s;
-    SpanningForest sf = BuildSharedColumnForest(reduced_atoms);
-    s = ShardedReduceForest(&reduced_atoms, sf.parent, sf.children,
-                            sf.postorder, SpanningForest::kNone, ctx);
-    if (!s.ok()) return s;
-  }
-
   auto process_node = [&](std::size_t p) -> Status {
     if (rc != nullptr) {
       if (skip[p]) return Status::Ok();
@@ -136,15 +107,6 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
     };
     std::vector<PoolItem> pool;
     for (std::size_t a : node.lambda.ToVector()) {
-      if (sharded) {
-        // An atom may label several nodes' lambdas; each takes a copy of
-        // the pre-reduced scan (charged as emitted rows, like a scan).
-        Relation copy = reduced_atoms[a];
-        Status s = ctx->ChargeRows(copy.NumRows());
-        if (!s.ok()) return s;
-        pool.push_back(PoolItem{std::move(copy), false});
-        continue;
-      }
       auto scan = ScanAtom(rq, a, catalog, ctx);
       if (!scan.ok()) return scan.status();
       pool.push_back(PoolItem{std::move(scan.value()), false});

@@ -5,7 +5,6 @@
 
 #include "cq/hypergraph_builder.h"
 #include "exec/executor.h"
-#include "exec/shard.h"
 #include "hypergraph/join_tree.h"
 #include "opt/tree_waves.h"
 
@@ -104,38 +103,22 @@ Result<Relation> ThreePass(std::vector<Relation> nodes, const Forest& forest,
     return Status::Ok();
   };
 
-  // Sharded evaluation replaces the two semijoin passes with the
-  // hash-partitioned exchange reduction (exec/shard.h): same survivor
-  // rows in the same order at any shard count, and any Bloom phantom left
-  // dangling is eliminated by the collect joins below. Replan-armed runs
-  // keep the semijoin passes (replanning owns the wave barriers).
-  const bool sharded = ctx->shard != nullptr && ctx->replan == nullptr;
-  if (sharded) {
-    ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
-    pass_span.Attr("phase", "shard_reduce");
-    Status s = ShardedReduceForest(&nodes, forest.parent, forest.children,
-                                   postorder, Forest::kNone, ctx);
-    if (!s.ok()) return s;
-  }
-
   if (ctx->parallel()) {
     // Sibling subtrees run concurrently, wave by wave; node results are
     // order-independent, so the output matches the serial sweeps exactly.
     auto up = HeightWaves(postorder, forest.children);
-    if (!sharded) {
-      auto down = DepthWaves(postorder, forest.parent, Forest::kNone);
-      {
-        ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
-        pass_span.Attr("phase", "reduce_up");
-        Status s = RunWaves(ctx, up, reduce_up);
-        if (!s.ok()) return s;
-      }
-      {
-        ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
-        pass_span.Attr("phase", "reduce_down");
-        Status s = RunWaves(ctx, down, reduce_down);
-        if (!s.ok()) return s;
-      }
+    auto down = DepthWaves(postorder, forest.parent, Forest::kNone);
+    {
+      ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
+      pass_span.Attr("phase", "reduce_up");
+      Status s = RunWaves(ctx, up, reduce_up);
+      if (!s.ok()) return s;
+    }
+    {
+      ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
+      pass_span.Attr("phase", "reduce_down");
+      Status s = RunWaves(ctx, down, reduce_down);
+      if (!s.ok()) return s;
     }
     {
       ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
@@ -144,22 +127,20 @@ Result<Relation> ThreePass(std::vector<Relation> nodes, const Forest& forest,
       if (!s.ok()) return s;
     }
   } else {
-    if (!sharded) {
-      {
-        ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
-        pass_span.Attr("phase", "reduce_up");
-        for (std::size_t p : postorder) {
-          Status s = reduce_up(p);
-          if (!s.ok()) return s;
-        }
+    {
+      ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
+      pass_span.Attr("phase", "reduce_up");
+      for (std::size_t p : postorder) {
+        Status s = reduce_up(p);
+        if (!s.ok()) return s;
       }
-      {
-        ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
-        pass_span.Attr("phase", "reduce_down");
-        for (auto it = postorder.rbegin(); it != postorder.rend(); ++it) {
-          Status s = reduce_down(*it);
-          if (!s.ok()) return s;
-        }
+    }
+    {
+      ScopedSpan pass_span(ctx->tracer, "yannakakis.pass");
+      pass_span.Attr("phase", "reduce_down");
+      for (auto it = postorder.rbegin(); it != postorder.rend(); ++it) {
+        Status s = reduce_down(*it);
+        if (!s.ok()) return s;
       }
     }
     {
@@ -220,24 +201,10 @@ Result<Relation> YannakakisEvaluate(const ResolvedQuery& rq,
   }
 
   std::vector<Relation> nodes(rq.cq.atoms.size());
-  if (ctx->shard != nullptr && ctx->replan == nullptr) {
-    // Sharded runs fan the independent per-atom scans across the pool's
-    // shard lanes; each task writes only its own slot and ScanAtom output
-    // is deterministic at any thread count, so results don't depend on
-    // scheduling.
-    Status s = ShardParallelMap(ctx, nodes.size(), [&](std::size_t a) {
-      auto scan = ScanAtom(rq, a, catalog, ctx);
-      if (!scan.ok()) return scan.status();
-      nodes[a] = std::move(scan.value());
-      return Status::Ok();
-    });
-    if (!s.ok()) return s;
-  } else {
-    for (std::size_t a = 0; a < rq.cq.atoms.size(); ++a) {
-      auto scan = ScanAtom(rq, a, catalog, ctx);
-      if (!scan.ok()) return scan.status();
-      nodes[a] = std::move(scan.value());
-    }
+  for (std::size_t a = 0; a < rq.cq.atoms.size(); ++a) {
+    auto scan = ScanAtom(rq, a, catalog, ctx);
+    if (!scan.ok()) return scan.status();
+    nodes[a] = std::move(scan.value());
   }
   return ThreePass(std::move(nodes), forest, OutNames(rq), ctx);
 }

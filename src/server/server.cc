@@ -117,14 +117,8 @@ Status QueryServer::Start() {
   }
   // Pre-grow the shared pool to this server's per-query lane count before
   // any session exists: ThreadPool::Shared growth joins the old pool, so
-  // it must never race an in-flight query. Sharded runs fan each wave out
-  // over num_threads x num_shards lanes, so the product (capped so a
-  // misconfigured --shards cannot oversubscribe the host into stalls) is
-  // the lane count queries will actually request.
-  const std::size_t shard_lanes = std::max<std::size_t>(
-      std::size_t{1}, options_.run_template.num_shards);
-  ThreadPool::Shared(std::min(
-      kMaxShardLanes, options_.run_template.num_threads * shard_lanes));
+  // it must never race an in-flight query.
+  ThreadPool::Shared(options_.run_template.num_threads);
   // Observability plane: size the process-global flight-recorder ring
   // before installing the crash handler (the handler captures raw ring
   // pointers, so the ring must not be resized afterwards), then seed the

@@ -223,6 +223,34 @@ bool SelectStatement::HasInSubqueries() const {
   return false;
 }
 
+namespace {
+
+void CollectExprBaseTables(const Expr& e, std::vector<std::string>* out) {
+  if (e.subquery != nullptr) e.subquery->CollectBaseTables(out);
+  if (e.lhs) CollectExprBaseTables(*e.lhs, out);
+  if (e.rhs) CollectExprBaseTables(*e.rhs, out);
+}
+
+}  // namespace
+
+void SelectStatement::CollectBaseTables(std::vector<std::string>* out) const {
+  for (const TableRef& t : from) {
+    if (t.IsDerived()) {
+      t.subquery->CollectBaseTables(out);
+    } else {
+      out->push_back(t.name);
+    }
+  }
+  for (const Comparison& c : where) {
+    CollectExprBaseTables(c.lhs, out);
+    CollectExprBaseTables(c.rhs, out);
+  }
+  for (const InCondition& c : where_in) {
+    CollectExprBaseTables(c.lhs, out);
+    if (c.subquery != nullptr) c.subquery->CollectBaseTables(out);
+  }
+}
+
 bool SelectStatement::HasAggregates() const {
   for (const auto& item : items) {
     if (item.expr.ContainsAggregate()) return true;

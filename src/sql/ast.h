@@ -189,6 +189,10 @@ struct SelectStatement {
   // True when some IN conjunct carries a subquery.
   bool HasInSubqueries() const;
 
+  // Appends the names of the base relations the statement reads at any
+  // nesting depth: FROM entries, derived tables, IN and scalar subqueries.
+  void CollectBaseTables(std::vector<std::string>* out) const;
+
   // SQL text rendering; reparsing the result yields an equivalent statement.
   std::string ToString() const;
 };

@@ -75,10 +75,28 @@ void StatsEpochRegistry::Bump(const std::string& relation_name) {
   ++epochs_[ToLower(relation_name)];
 }
 
+void StatsEpochRegistry::SetDerived(const std::string& relation_name,
+                                    const std::vector<std::string>& inputs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t sum = 0;
+  for (const std::string& input : inputs) {
+    auto it = epochs_.find(ToLower(input));
+    if (it != epochs_.end()) sum += it->second;
+  }
+  epochs_[ToLower(relation_name)] = sum;
+}
+
 void StatisticsRegistry::Put(const std::string& relation_name,
                              RelationStats stats) {
   stats_[ToLower(relation_name)] = std::move(stats);
   StatsEpochRegistry::Global().Bump(relation_name);
+}
+
+void StatisticsRegistry::PutDerived(const std::string& relation_name,
+                                    RelationStats stats,
+                                    const std::vector<std::string>& inputs) {
+  stats_[ToLower(relation_name)] = std::move(stats);
+  StatsEpochRegistry::Global().SetDerived(relation_name, inputs);
 }
 
 void StatisticsRegistry::Clear() {
@@ -93,8 +111,8 @@ void StatisticsRegistry::Clear() {
 const RelationStats* StatisticsRegistry::Find(
     const std::string& relation_name) const {
   auto it = stats_.find(ToLower(relation_name));
-  if (it == stats_.end()) return nullptr;
-  return &it->second;
+  if (it != stats_.end()) return &it->second;
+  return base_ != nullptr ? base_->Find(relation_name) : nullptr;
 }
 
 void StatisticsRegistry::AnalyzeAll(const Catalog& catalog) {

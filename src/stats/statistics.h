@@ -61,6 +61,11 @@ class StatsEpochRegistry {
 
   uint64_t Get(const std::string& relation_name) const;
   void Bump(const std::string& relation_name);
+  // For a relation rebuilt per query from `inputs` (a derived table): sets
+  // its epoch to the sum of theirs. Epochs only grow, so unchanged inputs
+  // keep plans cached on it fresh and any input's stats change stales them.
+  void SetDerived(const std::string& relation_name,
+                  const std::vector<std::string>& inputs);
 
   StatsEpochRegistry() = default;
   StatsEpochRegistry(const StatsEpochRegistry&) = delete;
@@ -75,7 +80,16 @@ class StatsEpochRegistry {
 // mean "no statistics gathered yet" and estimators fall back to defaults.
 class StatisticsRegistry {
  public:
+  StatisticsRegistry() = default;
+  // A scratch registry layered over `base` (nullptr, or outliving it):
+  // Find falls through to it for relations not Put here.
+  explicit StatisticsRegistry(const StatisticsRegistry* base) : base_(base) {}
+
   void Put(const std::string& relation_name, RelationStats stats);
+  // As Put, for a derived table materialized from the base relations
+  // `inputs`; the epoch follows StatsEpochRegistry::SetDerived.
+  void PutDerived(const std::string& relation_name, RelationStats stats,
+                  const std::vector<std::string>& inputs);
 
   const RelationStats* Find(const std::string& relation_name) const;
 
@@ -83,10 +97,13 @@ class StatisticsRegistry {
   void AnalyzeAll(const Catalog& catalog);
 
   void Clear();
-  bool empty() const { return stats_.empty(); }
+  bool empty() const {
+    return stats_.empty() && (base_ == nullptr || base_->empty());
+  }
 
  private:
   std::map<std::string, RelationStats> stats_;
+  const StatisticsRegistry* base_ = nullptr;
 };
 
 }  // namespace htqo

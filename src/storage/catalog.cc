@@ -1,5 +1,7 @@
 #include "storage/catalog.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace htqo {
@@ -11,8 +13,8 @@ void Catalog::Put(const std::string& name, Relation relation) {
 
 const Relation* Catalog::Find(const std::string& name) const {
   auto it = relations_.find(ToLower(name));
-  if (it == relations_.end()) return nullptr;
-  return it->second.get();
+  if (it != relations_.end()) return it->second.get();
+  return base_ != nullptr ? base_->Find(name) : nullptr;
 }
 
 Result<const Relation*> Catalog::Get(const std::string& name) const {
@@ -25,14 +27,16 @@ Result<const Relation*> Catalog::Get(const std::string& name) const {
 
 std::vector<std::string> Catalog::Names() const {
   std::vector<std::string> out;
-  out.reserve(relations_.size());
+  if (base_ != nullptr) out = base_->Names();
   for (const auto& [name, rel] : relations_) out.push_back(name);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 std::size_t Catalog::TotalRows() const {
   std::size_t n = 0;
-  for (const auto& [name, rel] : relations_) n += rel->NumRows();
+  for (const std::string& name : Names()) n += Find(name)->NumRows();
   return n;
 }
 

@@ -17,6 +17,9 @@ namespace htqo {
 class Catalog {
  public:
   Catalog() = default;
+  // A scratch catalog layered over `base` (which must outlive it): relations
+  // Put here shadow base's, every other lookup falls through to it.
+  explicit Catalog(const Catalog* base) : base_(base) {}
 
   // Catalog is the owner of all base relations; moving it around would
   // invalidate pointers handed out by Find, so it is pinned.
@@ -46,6 +49,7 @@ class Catalog {
  private:
   // unique_ptr keeps Relation addresses stable across map rehash/growth.
   std::map<std::string, std::unique_ptr<Relation>> relations_;
+  const Catalog* base_ = nullptr;
 };
 
 }  // namespace htqo

@@ -24,8 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/check.h"
-
 namespace htqo {
 
 class BlockedBloomFilter {
@@ -47,20 +45,6 @@ class BlockedBloomFilter {
     const uint64_t h = static_cast<uint64_t>(hash);
     const uint64_t mask = MaskOf(h);
     return (words_[WordIndex(h)] & mask) == mask;
-  }
-
-  std::size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  // ORs `other`'s bits into this filter. Both filters must share geometry
-  // (same expected-key sizing); the result is exactly the filter that one
-  // builder inserting both key sets would produce — the property the
-  // sharded exchange relies on to merge per-piece filters into an
-  // S-invariant link summary.
-  void MergeFrom(const BlockedBloomFilter& other) {
-    HTQO_CHECK(words_.size() == other.words_.size());
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      words_[i] |= other.words_[i];
-    }
   }
 
  private:

@@ -55,8 +55,7 @@ std::vector<std::string> FaultInjector::KnownSites() {
           kFaultSiteCacheInsert,        kFaultSiteServerAccept,
           kFaultSiteServerRead,         kFaultSiteServerWrite,
           kFaultSiteAdmissionEnqueue,   kFaultSiteStatsFeedback,
-          kFaultSiteReplanCheckpoint,   kFaultSiteFlightRecDump,
-          kFaultSiteShardPartition,     kFaultSiteShardExchange};
+          kFaultSiteReplanCheckpoint,   kFaultSiteFlightRecDump};
 }
 
 }  // namespace htqo

@@ -43,12 +43,6 @@
 //   obs.flightrec.dump   FlightRecorder::DumpToFile fails (exporter I/O);
 //                        the in-memory ring and the query results that fed
 //                        it are unaffected, callers warn
-//   shard.partition      hash-partitioning a relation across shard pieces
-//                        fails (retried, bounded -> kResourceExhausted,
-//                        matching the spill sites' semantics)
-//   shard.exchange       merging a reduction link's per-piece exchange
-//                        messages fails (retried, bounded ->
-//                        kResourceExhausted)
 
 #ifndef HTQO_UTIL_FAULT_INJECTOR_H_
 #define HTQO_UTIL_FAULT_INJECTOR_H_
@@ -84,8 +78,6 @@ inline constexpr const char kFaultSiteAdmissionEnqueue[] = "admission.enqueue";
 inline constexpr const char kFaultSiteStatsFeedback[] = "stats.feedback";
 inline constexpr const char kFaultSiteReplanCheckpoint[] = "replan.checkpoint";
 inline constexpr const char kFaultSiteFlightRecDump[] = "obs.flightrec.dump";
-inline constexpr const char kFaultSiteShardPartition[] = "shard.partition";
-inline constexpr const char kFaultSiteShardExchange[] = "shard.exchange";
 
 struct FaultPlan {
   // Exact site to target; the empty string targets every site.

@@ -138,6 +138,11 @@ Status ResourceGovernor::ChargeMemory(std::size_t bytes) {
   return Status::Ok();
 }
 
+Status ResourceGovernor::ReserveMemory(std::size_t bytes) {
+  AtomicSaturatingAdd(&base_memory_, bytes);
+  return ChargeMemory(bytes);
+}
+
 void ResourceGovernor::ReleaseMemory(std::size_t bytes) {
   // Saturating subtract: a release may race a concurrent charge, but the
   // balance never goes below the charges actually outstanding.

@@ -165,16 +165,20 @@ class ResourceGovernor {
   // never fails. Peak is recorded in stats().
   Status ChargeMemory(std::size_t bytes);
   void ReleaseMemory(std::size_t bytes);
+  // As ChargeMemory, for memory held as long as the governor lives (search
+  // memo tables); also counted in base_memory_bytes().
+  Status ReserveMemory(std::size_t bytes);
 
   // Raises the peak-memory high-water mark without touching the live
   // balance — for materializations whose lifetime the owner tracks itself
   // (ExecContext forwards its peak-rows estimate here).
   void NotePeakMemory(std::size_t bytes) { AtomicMax(&peak_memory_, bytes); }
 
-  // Current live charged bytes; operators add their projected working set
-  // to this when deciding whether to take the spill path.
-  std::size_t live_memory_bytes() const {
-    return live_memory_.load(std::memory_order_relaxed);
+  // Bytes charged through ReserveMemory. Searches and operators never run
+  // at once under one governor, so this holds still while operators decide
+  // whether to spill (ExecContext::ShouldSpill).
+  std::size_t base_memory_bytes() const {
+    return base_memory_.load(std::memory_order_relaxed);
   }
   // Sticky: true once live memory has ever crossed soft_memory_bytes.
   bool soft_memory_exceeded() const {
@@ -219,6 +223,7 @@ class ResourceGovernor {
   std::atomic<std::size_t> exec_charges_{0};
   std::atomic<std::size_t> charges_since_poll_{0};
   std::atomic<std::size_t> live_memory_{0};
+  std::atomic<std::size_t> base_memory_{0};
   std::atomic<std::size_t> peak_memory_{0};
   std::atomic<bool> tripped_{false};
   std::atomic<bool> cancel_requested_{false};

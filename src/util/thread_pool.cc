@@ -128,6 +128,7 @@ void ThreadPool::ParallelFor(
 
 ThreadPool* ThreadPool::Shared(std::size_t num_threads) {
   if (num_threads <= 1) return nullptr;
+  num_threads = std::min(num_threads, kMaxThreads);
   static std::mutex mu;
   static ThreadPool* shared = nullptr;
   std::lock_guard<std::mutex> lock(mu);

@@ -47,6 +47,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // Shared() clamps every request to this. Thread counts come from outside
+  // input (--threads, \threads); the cap keeps a bad value from stalling
+  // the host under hundreds of workers.
+  static constexpr std::size_t kMaxThreads = 64;
+
   std::size_t workers() const { return threads_.size(); }
 
   // Enqueues a task; the future resolves when it has run. Tasks must not
@@ -65,11 +70,11 @@ class ThreadPool {
 
   // Process-wide pool for `num_threads`-way execution: returns nullptr when
   // num_threads <= 1 (serial), otherwise a pool with at least
-  // num_threads - 1 workers. The pool is created lazily, grown when a
-  // larger request arrives, and intentionally leaked at exit. Growth joins
-  // the previous pool, so it must not race with in-flight queries; the
-  // engine runs one query at a time per process, which the callers
-  // (HybridOptimizer, benches, tests) respect.
+  // min(num_threads, kMaxThreads) - 1 workers. The pool is created lazily,
+  // grown when a larger request arrives, and intentionally leaked at exit.
+  // Growth joins the previous pool, so it must not race with in-flight
+  // queries; the engine runs one query at a time per process, which the
+  // callers (HybridOptimizer, benches, tests) respect.
   static ThreadPool* Shared(std::size_t num_threads);
 
  private:

@@ -158,61 +158,6 @@ TEST_F(ChaosSweepTest, AlwaysFiringSpillSitesFailTypedAndNeverWrong) {
   }
 }
 
-TEST_F(ChaosSweepTest, ShardSitesFailTypedAndNeverWrong) {
-  // The main sweep's workload runs unsharded, so shard.partition /
-  // shard.exchange pass vacuously there; this focused matrix runs a
-  // sharded Yannakakis reduction (forced spill stays on) through both
-  // sites. p=1 exhausts the bounded retries — kResourceExhausted naming
-  // the site, the same contract as the spill sites; p=0.05 runs that
-  // survive the retries must return exactly the fault-free answer.
-  HybridOptimizer optimizer(&catalog_, &registry_);
-  auto sharded_options = [&](std::size_t threads) {
-    RunOptions options = ChaosOptions(OptimizerMode::kYannakakis, threads);
-    options.num_shards = 3;
-    options.shard_replicate_threshold = 8;  // real partitions, not broadcast
-    return options;
-  };
-  std::map<std::size_t, Relation> reference;
-  for (std::size_t threads : {1, 4}) {
-    auto run = optimizer.Run(LineQuerySql(5), sharded_options(threads));
-    ASSERT_TRUE(run.ok()) << run.status().message();
-    ASSERT_GT(run->shard.partitions, 0u)
-        << "chaos configuration does not reach the shard sites";
-    ASSERT_GT(run->shard.exchanges, 0u);
-    reference[threads] = run->output;
-  }
-  for (const char* site :
-       {kFaultSiteShardPartition, kFaultSiteShardExchange}) {
-    for (double probability : {1.0, 0.05}) {
-      for (std::size_t threads : {1, 4}) {
-        FaultPlan plan;
-        plan.site = site;
-        plan.probability = probability;
-        plan.seed = 5 + threads;
-        ScopedFaultInjection injection(plan);
-        ASSERT_TRUE(injection.status().ok()) << site;
-        auto run = optimizer.Run(LineQuerySql(5), sharded_options(threads));
-        std::string label = std::string(site) +
-                            " p=" + std::to_string(probability) +
-                            " threads=" + std::to_string(threads);
-        if (probability == 1.0) {
-          ASSERT_FALSE(run.ok()) << label;
-          EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
-              << label << ": " << run.status().ToString();
-          EXPECT_NE(run.status().message().find(site), std::string::npos)
-              << run.status().message();
-        } else if (run.ok()) {
-          EXPECT_TRUE(SameRowMultiset(reference[threads], run->output))
-              << label << ": wrong answer under fault injection";
-        } else {
-          EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
-              << label << ": " << run.status().ToString();
-        }
-      }
-    }
-  }
-}
-
 TEST_F(ChaosSweepTest, FeedbackAndReplanSitesAreReachableAndFailSoft) {
   // The main sweep cannot reach stats.feedback / replan.checkpoint (it
   // neither reconciles nor replans, so those cells pass vacuously); this

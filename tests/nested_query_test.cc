@@ -12,6 +12,18 @@
 namespace htqo {
 namespace {
 
+// Every value's type tag and payload, row by row: equal strings mean
+// byte-identical relations.
+std::string EncodeRows(const Relation& rel) {
+  std::string out;
+  for (std::size_t r = 0; r < rel.NumRows(); ++r) {
+    for (std::size_t c = 0; c < rel.arity(); ++c) {
+      EncodeValue(rel.At(r, c), &out);
+    }
+  }
+  return out;
+}
+
 class NestedQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -137,6 +149,37 @@ TEST_F(NestedQueryTest, NestedQ8MatchesFlattenedQ8) {
     EXPECT_TRUE(nested->output.SameRowsAs(flat->output))
         << OptimizerModeName(mode);
   }
+}
+
+TEST_F(NestedQueryTest, RepeatedNestedRunHitsPlanCacheUntilBaseStatsChange) {
+  // Re-materializing an unchanged derived table must keep the outer plan
+  // cached; a statistics change on a relation the subquery reads must
+  // still invalidate it. The answer never changes.
+  HybridOptimizer optimizer(&catalog_, &registry_);
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdHybrid;
+  options.use_plan_cache = true;
+  const std::string sql = TpchQ8Nested();
+  auto first = optimizer.Run(sql, options);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  const std::string expected = EncodeRows(first->output);
+
+  auto second = optimizer.Run(sql, options);
+  ASSERT_TRUE(second.ok()) << second.status().message();
+  EXPECT_EQ(second->plan_cache, "hit");
+  EXPECT_EQ(EncodeRows(second->output), expected);
+
+  registry_.Put("lineitem", CollectStats(*catalog_.Find("lineitem")));
+  auto third = optimizer.Run(sql, options);
+  ASSERT_TRUE(third.ok()) << third.status().message();
+  EXPECT_NE(third->plan_cache, "hit");
+  EXPECT_NE(third->plan_cache, "shared-hit");
+  EXPECT_EQ(EncodeRows(third->output), expected);
+
+  auto fourth = optimizer.Run(sql, options);
+  ASSERT_TRUE(fourth.ok()) << fourth.status().message();
+  EXPECT_EQ(fourth->plan_cache, "hit");
+  EXPECT_EQ(EncodeRows(fourth->output), expected);
 }
 
 TEST_F(NestedQueryTest, ResolveRejectsDerivedTablesDirectly) {

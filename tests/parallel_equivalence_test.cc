@@ -98,6 +98,11 @@ TEST(ThreadPoolTest, SharedPoolIsSerialSentinelAtOneThread) {
   ThreadPool* p = ThreadPool::Shared(2);
   ASSERT_NE(p, nullptr);
   EXPECT_GE(p->workers(), 1u);
+  // Thread counts come from outside input (--threads, \threads), so the
+  // shared pool never grows past kMaxThreads lanes however large the ask.
+  p = ThreadPool::Shared(ThreadPool::kMaxThreads + 1);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->workers(), ThreadPool::kMaxThreads - 1);
 }
 
 // --- Random conjunctive queries: byte-identical at any thread count. --------
@@ -147,7 +152,7 @@ TEST_P(ParallelEquivalenceTest, RandomQueriesAreThreadCountInvariant) {
   for (OptimizerMode mode :
        {OptimizerMode::kQhdHybrid, OptimizerMode::kQhdStructural,
         OptimizerMode::kDpStatistics, OptimizerMode::kYannakakis,
-        OptimizerMode::kClassicHd}) {
+        OptimizerMode::kClassicHd, OptimizerMode::kTreeDecomposition}) {
     std::optional<QueryRun> reference;
     for (std::size_t threads : kThreadSweep) {
       RunOptions options;

@@ -178,7 +178,9 @@ TEST(ServerProtocolTest, ParseFrameHeaderFuzzNeverCrashes) {
     Status s = ParseFrameHeader(line, &frame, &len);
     ASSERT_TRUE(s.ok() || s.code() == StatusCode::kInvalidArgument)
         << "input bytes: " << line.size() << " status: " << s.message();
-    if (s.ok()) ASSERT_LE(len, kMaxPayloadBytes);
+    if (s.ok()) {
+      ASSERT_LE(len, kMaxPayloadBytes);
+    }
   }
   // The header-size cap itself.
   std::string huge(kMaxHeaderBytes + 1, 'A');
@@ -346,36 +348,28 @@ TEST_F(ServerTest, ConcurrentTenantsGetByteIdenticalResults) {
 }
 
 TEST_F(ServerTest, ShardedServerPreGrowsPoolAndServesCorrectResults) {
-  // Regression: the server used to pre-grow the shared pool to num_threads
-  // only. A sharded run then requested num_threads x num_shards lanes,
-  // forcing ThreadPool::Shared to tear down and rebuild the pool *during*
-  // the first in-flight query — a rebuild the pool contract forbids — and
-  // concurrent sharded queries could stall behind a pool sized for one
-  // shard. Start() must pre-grow to the full (capped) lane product before
-  // any session exists.
+  // Start() must pre-grow the shared pool to the per-query lane count
+  // before any session exists: a query that grows it instead forces
+  // ThreadPool::Shared to tear down and rebuild the pool *during* an
+  // in-flight query — a rebuild the pool contract forbids.
   ServerOptions options = BaseOptions();
   options.run_template.mode = OptimizerMode::kYannakakis;
   options.run_template.num_threads = 4;
-  options.run_template.num_shards = 4;
-  options.run_template.shard_replicate_threshold = 8;
   options.admission.max_total_concurrent = 4;
   QueryServer server(&catalog_, &stats_, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The pool already holds the full lane product's workers. Probing with a
-  // tiny request can never grow the pool, so the observed size is whatever
-  // Start() left behind — it must cover num_threads x num_shards lanes.
+  // Probing with a tiny request can never grow the pool, so the observed
+  // size is whatever Start() left behind — it must cover num_threads lanes.
   ThreadPool* pool = ThreadPool::Shared(2);
   ASSERT_NE(pool, nullptr);
-  EXPECT_GE(pool->workers() + 1,
-            options.run_template.num_threads *
-                options.run_template.num_shards);
+  EXPECT_GE(pool->workers() + 1, options.run_template.num_threads);
 
   const std::string sql = LineQuerySql(5);
   const std::string expected = Expected(options, sql);
   ASSERT_FALSE(expected.empty());
 
-  // Concurrent sharded queries: all must complete well inside the deadline
+  // Concurrent queries: all must complete well inside the deadline
   // (an oversubscription stall would blow it) with the exact answer.
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
@@ -397,7 +391,7 @@ TEST_F(ServerTest, ShardedServerPreGrowsPoolAndServesCorrectResults) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0)
-      << "a sharded query stalled or returned a wrong result";
+      << "a query stalled or returned a wrong result";
   ASSERT_TRUE(server.Drain(5.0).ok());
 }
 

@@ -301,25 +301,28 @@ TEST(SpillManagerTest, TransientReadFaultIsRetriedToSuccess) {
 // --- Fault-site registry. ---------------------------------------------------
 
 TEST(FaultSiteRegistryTest, UnknownSiteIsInvalidArgumentAndStaysDisarmed) {
-  FaultPlan plan;
-  plan.site = "spill.wrlte";  // typo'd chaos configuration
-  ScopedFaultInjection injection(plan);
-  EXPECT_EQ(injection.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(injection.status().message().find("spill.wrlte"),
-            std::string::npos);
-  EXPECT_FALSE(FaultInjector::Instance().armed());
+  // A typo'd chaos configuration, and a site whose subsystem is gone.
+  for (const char* site : {"spill.wrlte", "shard.partition"}) {
+    FaultPlan plan;
+    plan.site = site;
+    ScopedFaultInjection injection(plan);
+    EXPECT_EQ(injection.status().code(), StatusCode::kInvalidArgument)
+        << site;
+    EXPECT_NE(injection.status().message().find(site), std::string::npos)
+        << site;
+    EXPECT_FALSE(FaultInjector::Instance().armed()) << site;
+  }
 }
 
 TEST(FaultSiteRegistryTest, KnownSitesIncludeSpillSites) {
   std::vector<std::string> sites = FaultInjector::KnownSites();
-  EXPECT_EQ(sites.size(), 18u);
+  EXPECT_EQ(sites.size(), 16u);
   for (const char* site :
        {kFaultSiteSpillOpen, kFaultSiteSpillWrite, kFaultSiteSpillRead,
         kFaultSiteTraceWrite, kFaultSiteMetricsExport, kFaultSiteCacheInsert,
         kFaultSiteServerAccept, kFaultSiteServerRead, kFaultSiteServerWrite,
         kFaultSiteAdmissionEnqueue, kFaultSiteStatsFeedback,
-        kFaultSiteReplanCheckpoint, kFaultSiteFlightRecDump,
-        kFaultSiteShardPartition, kFaultSiteShardExchange}) {
+        kFaultSiteReplanCheckpoint, kFaultSiteFlightRecDump}) {
     bool found = false;
     for (const std::string& s : sites) found |= s == site;
     EXPECT_TRUE(found) << site;

@@ -22,15 +22,6 @@
 #                           # BENCH_adaptive.json and requiring >=1.5x
 #                           # geomean of feedback-on over feedback-off under
 #                           # drift plus a self-correcting plan cache
-#   tools/check.sh --sharded
-#                           # sharded-evaluation gate: the shard partition /
-#                           # exchange / equivalence suites under ASan+UBSan,
-#                           # then bench_sharded on the plain build, emitting
-#                           # BENCH_sharded.json, requiring S=1 within ~2% of
-#                           # unsharded and the Bloom exchange >=10x under
-#                           # the row-broadcast baseline on every row; the
-#                           # S=4 >=1.5x scale-out gate runs when the host
-#                           # has >=4 CPUs (it needs real lanes)
 #   tools/check.sh --server # query-server smoke: start htqo_server, run the
 #                           # htqo_client load-test sweep (4/16/64 clients,
 #                           # mixed tenants, chaos disconnects), assert the
@@ -39,7 +30,7 @@
 #                           # repeat the smoke + server/admission suites
 #                           # under ASan and TSan
 #   tools/check.sh --all    # plain + ASan + TSan + chaos + vectorized +
-#                           # adaptive + sharded + server
+#                           # adaptive + server
 #
 # The sanitized passes are what give the fault-injection sweep and the
 # parallel engine their teeth: an injected failure that leaks, touches
@@ -189,7 +180,6 @@ want_chaos=false
 want_server=false
 want_vectorized=false
 want_adaptive=false
-want_sharded=false
 case "${1:-}" in
   "") ;;
   --asan) want_asan=true ;;
@@ -198,14 +188,13 @@ case "${1:-}" in
   --server) want_server=true ;;
   --vectorized) want_vectorized=true ;;
   --adaptive) want_adaptive=true ;;
-  --sharded) want_sharded=true ;;
   --all)
     want_asan=true; want_tsan=true; want_chaos=true; want_server=true
-    want_vectorized=true; want_adaptive=true; want_sharded=true
+    want_vectorized=true; want_adaptive=true
     ;;
   *)
     echo "error: unknown flag '${1}' (expected --asan, --tsan, --chaos," \
-         "--server, --vectorized, --adaptive, --sharded, or --all)" >&2
+         "--server, --vectorized, --adaptive, or --all)" >&2
     exit 2
     ;;
 esac
@@ -246,7 +235,7 @@ if $want_tsan; then
   cmake --build build-tsan -j"$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission|Shard'
+      -R 'Parallel|Threading|ThreadPool|Governor|ExecContext|Fault|Server|Admission'
 fi
 
 if $want_vectorized; then
@@ -321,62 +310,6 @@ if not stale or not hits:
         f"stale_misses={stale} hits={hits}")
 print(f"plan cache self-correction: {stale:.0f} stale-miss(es), "
       f"{hits:.0f} hit(s) after epoch bumps")
-EOF
-fi
-
-if $want_sharded; then
-  # The sharded-evaluation acceptance bar (DESIGN.md §6j): the shard
-  # partition/exchange/equivalence suites under ASan+UBSan — byte-identical
-  # output and meter-identical charges across S in {1,2,4,8} x threads x
-  # spill, plus the shard.partition / shard.exchange chaos sites — then
-  # bench_sharded on the optimized build. Gates: the S=1 sharded path stays
-  # within ~2% of the unsharded engine, and the Bloom exchange ships >=10x
-  # less than the row-broadcast baseline on every sharded row. The S=4
-  # scale-out floor (>=1.5x geomean over S=1) needs real lanes, so it only
-  # runs on hosts with >=4 CPUs (CI's sharded job always gates it).
-  echo "==> shard suites (ASan+UBSan)"
-  cmake -B build-asan -S . -DHTQO_SANITIZE=ON
-  require_sanitize build-asan ON
-  cmake --build build-asan -j"$(nproc)"
-  ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
-  UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
-    ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'Shard|Chaos|Equivalence'
-
-  echo "==> sharded scale-out gate"
-  cmake --build build -j"$(nproc)" --target bench_sharded
-  ./build/bench/bench_sharded \
-    --benchmark_format=json --benchmark_repetitions=3 \
-    > BENCH_sharded.json
-  tools/compare_bench.py BENCH_sharded.json \
-    --pair Unsharded:ShardS1 --min-speedup 0.98
-  if [[ "$(nproc)" -ge 4 ]]; then
-    tools/compare_bench.py BENCH_sharded.json \
-      --pair ShardS1:ShardS4 --min-speedup 1.5
-  else
-    echo "note: $(nproc) CPU(s) — skipping the S=4 scale-out floor" \
-         "(shard lanes cannot run in parallel here)"
-  fi
-  tools/compare_bench.py BENCH_sharded.json --scaling ShardS
-  python3 - <<'EOF'
-import json
-
-with open("BENCH_sharded.json") as f:
-    data = json.load(f)
-
-checked = 0
-for b in data["benchmarks"]:
-    if b.get("run_type") == "aggregate" or "shard_filter_bytes" not in b:
-        continue
-    shipped = b["shard_filter_bytes"] + b.get("shard_key_bytes", 0)
-    rows = b["shard_row_ship_bytes"]
-    if shipped <= 0 or rows < 10 * shipped:
-        raise SystemExit(f"{b['name']}: exchange shipped {shipped:.0f} B "
-                         f"vs row baseline {rows:.0f} B (< 10x)")
-    checked += 1
-if checked == 0:
-    raise SystemExit("no sharded rows with exchange counters")
-print(f"bloom exchange >=10x under row shipping on {checked} rows")
 EOF
 fi
 

@@ -38,24 +38,35 @@ scan/filter, hash join, semijoin and distinct in a single verdict:
 name starts with PREFIX (e.g. only the PlanNoCache rows when checking the
 cache-off path against the committed seed numbers).
 
-A third, single-file mode reads parallel scaling off a shard/thread sweep:
---scaling PREFIX groups rows "PREFIX<N>/<q>" by workload <q> and reports,
-for every lane count N against the smallest lane count in the file, the
-speedup and the parallel efficiency E(N) = (t(N0) * N0) / (t(N) * N),
-plus the per-N geomean efficiency across workloads. CI's sharded job uses
-this on bench_sharded output, where rows are ShardS1/<q>..ShardS8/<q>:
-
-  tools/compare_bench.py BENCH_sharded.json --scaling ShardS
-
---min-efficiency FLOOR turns the report into a gate: the geomean
-efficiency at every swept lane count must reach the floor.
+Every row prints in its own "time_unit" (ns, us, ms or s, as the bench
+registered it); ratios are taken after converting both sides to one unit,
+so rows recorded in different units still compare correctly.
 """
 
 import argparse
 import json
 import math
-import re
 import sys
+
+# Google Benchmark's time_unit values, in nanoseconds.
+UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+class Time:
+    """One row's real_time in the unit the bench recorded it in."""
+
+    def __init__(self, value, unit):
+        self.value = value
+        self.unit = unit
+
+    @property
+    def ns(self):
+        return self.value * UNIT_NS[self.unit]
+
+    def __str__(self):
+        # Whole nanoseconds; coarser units keep two decimals.
+        digits = 0 if self.unit == "ns" else 2
+        return f"{self.value:.{digits}f} {self.unit}"
 
 
 def load_times(path):
@@ -64,14 +75,15 @@ def load_times(path):
     raw, means, medians = {}, {}, {}
     for b in doc.get("benchmarks", []):
         name = b["name"]
+        t = Time(b["real_time"], b.get("time_unit", "ns"))
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "median":
-                medians[name.removesuffix("_median")] = b["real_time"]
+                medians[name.removesuffix("_median")] = t
             elif b.get("aggregate_name") == "mean":
-                means[name.removesuffix("_mean")] = b["real_time"]
+                means[name.removesuffix("_mean")] = t
         else:
             # First repetition wins; good enough when aggregates exist.
-            raw.setdefault(name, b["real_time"])
+            raw.setdefault(name, t)
     return medians or means or raw
 
 
@@ -103,64 +115,16 @@ def run_pair(times, pair_specs, min_speedup):
 
     log_sum = 0.0
     for base_name, cand_name, base_time, cand_time in pairs:
-        speedup = base_time / cand_time if cand_time > 0 else float("inf")
+        speedup = (base_time.ns / cand_time.ns if cand_time.ns > 0
+                   else float("inf"))
         log_sum += math.log(speedup)
-        print(f"{base_name} -> {cand_name}: {base_time:.0f} -> "
-              f"{cand_time:.0f} ns (x{speedup:.2f} faster)")
+        print(f"{base_name} -> {cand_name}: {base_time} -> {cand_time} "
+              f"(x{speedup:.2f} faster)")
     geomean = math.exp(log_sum / len(pairs))
     print(f"\ngeomean speedup over {len(pairs)} pairs: {geomean:.2f}x "
           f"(required {min_speedup:.2f}x)")
     if geomean < min_speedup:
         print("FAIL: speedup below the required floor")
-        return 1
-    print("ok")
-    return 0
-
-
-def run_scaling(times, prefix, min_efficiency):
-    """Single-file scaling report: rows PREFIX<N>/<q> swept over N.
-
-    The baseline for each workload <q> is its smallest swept lane count
-    (normally PREFIX1). Efficiency compares work-per-lane: a run that is
-    2x faster on 4x the lanes scores E = 0.5.
-    """
-    pattern = re.compile(r"^" + re.escape(prefix) + r"(\d+)[/_](.+)$")
-    sweeps = {}  # suffix -> {N: time}
-    for name, time in times.items():
-        m = pattern.match(name)
-        if m:
-            sweeps.setdefault(m.group(2), {})[int(m.group(1))] = time
-    sweeps = {q: by_n for q, by_n in sweeps.items() if len(by_n) >= 2}
-    if not sweeps:
-        print(f"error: no {prefix}<N> sweep rows found")
-        return 1
-
-    eff_logs = {}  # N -> [log efficiency per workload]
-    for suffix in sorted(sweeps):
-        by_n = sweeps[suffix]
-        base_n = min(by_n)
-        base_time = by_n[base_n]
-        print(f"{suffix} (baseline {prefix}{base_n}: {base_time:.0f} ns)")
-        for n in sorted(by_n):
-            if n == base_n:
-                continue
-            speedup = base_time / by_n[n] if by_n[n] > 0 else float("inf")
-            eff = speedup * base_n / n
-            eff_logs.setdefault(n, []).append(math.log(eff))
-            print(f"  {prefix}{n}: {by_n[n]:.0f} ns  x{speedup:.2f} faster, "
-                  f"efficiency {eff:.2f}")
-
-    failed = False
-    for n in sorted(eff_logs):
-        geomean = math.exp(sum(eff_logs[n]) / len(eff_logs[n]))
-        verdict = ""
-        if min_efficiency is not None and geomean < min_efficiency:
-            verdict = f"  FAIL (< {min_efficiency:.2f})"
-            failed = True
-        print(f"\ngeomean efficiency at {prefix}{n}: {geomean:.2f} over "
-              f"{len(eff_logs[n])} workload(s){verdict}")
-    if failed:
-        print("FAIL: parallel efficiency below the required floor")
         return 1
     print("ok")
     return 0
@@ -184,21 +148,8 @@ def main():
     parser.add_argument("--filter", default=None, metavar="PREFIX",
                         help="two-file mode: only compare benchmarks whose "
                         "name starts with PREFIX")
-    parser.add_argument("--scaling", default=None, metavar="PREFIX",
-                        help="single-file mode: parallel-efficiency report "
-                        "over rows PREFIX<N>/<workload> against the "
-                        "smallest swept N")
-    parser.add_argument("--min-efficiency", type=float, default=None,
-                        help="in --scaling mode, required geomean parallel "
-                        "efficiency at every swept lane count")
     args = parser.parse_args()
 
-    if args.scaling:
-        if args.candidate is not None or args.pair:
-            print("error: --scaling takes a single result file and no --pair")
-            return 1
-        return run_scaling(load_times(args.baseline), args.scaling,
-                           args.min_efficiency)
     if args.pair:
         if args.candidate is not None:
             print("error: --pair takes a single result file")
@@ -220,10 +171,10 @@ def main():
 
     log_sum = 0.0
     for name in common:
-        ratio = cand[name] / base[name] if base[name] > 0 else 1.0
+        ratio = cand[name].ns / base[name].ns if base[name].ns > 0 else 1.0
         log_sum += math.log(ratio)
         flag = "  <-- slower" if ratio > 1 + args.max_regress else ""
-        print(f"{name}: {base[name]:.0f} -> {cand[name]:.0f} ns "
+        print(f"{name}: {base[name]} -> {cand[name]} "
               f"(x{ratio:.3f}){flag}")
     geomean = math.exp(log_sum / len(common))
     print(f"\ngeomean ratio over {len(common)} benchmarks: {geomean:.4f} "
