@@ -79,6 +79,7 @@ void AnnotatePlanDetails(const Tracer* tracer, const Hypergraph& h,
   struct NodeActuals {
     double ms = 0;
     uint64_t rows = 0;
+    std::string keep;
     uint64_t thread = 0;
     std::size_t spill_partitions = 0;
     uint64_t batches = 0;
@@ -92,15 +93,18 @@ void AnnotatePlanDetails(const Tracer* tracer, const Hypergraph& h,
     if (span.name != "qhd.node") continue;
     std::size_t node = HypertreeNode::kNoParent;
     uint64_t rows = 0;
+    std::string keep;
     for (const SpanAttr& attr : span.attrs) {
       if (attr.key == "node") node = std::stoull(attr.value);
       if (attr.key == "rows") rows = std::stoull(attr.value);
+      if (attr.key == "keep") keep = attr.value;
     }
     if (node == HypertreeNode::kNoParent) continue;
     span_to_node[span.id] = node;
     NodeActuals& na = actuals[node];
     na.ms = static_cast<double>(std::max<int64_t>(0, span.duration_ns)) / 1e6;
     na.rows = rows;
+    na.keep = std::move(keep);
     na.thread = span.thread;
   }
   if (actuals.empty()) return;
@@ -136,13 +140,16 @@ void AnnotatePlanDetails(const Tracer* tracer, const Hypergraph& h,
   run->plan_details = hd.ToString(h, [&](std::size_t p) -> std::string {
     auto it = actuals.find(p);
     if (it == actuals.end()) return std::string();
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  " [rows=%llu time=%.3fms thread=%llu",
-                  static_cast<unsigned long long>(it->second.rows),
+    // rows counts the node's result over its separator, so the rendering
+    // names those columns right beside it.
+    std::string annotation =
+        " [rows=" + std::to_string(it->second.rows) + " keep=" +
+        it->second.keep;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " time=%.3fms thread=%llu",
                   it->second.ms,
                   static_cast<unsigned long long>(it->second.thread));
-    std::string annotation = buf;
+    annotation += buf;
     if (it->second.batches > 0) {
       annotation += " batches=" + std::to_string(it->second.batches);
     }
@@ -788,11 +795,15 @@ Result<QueryRun> HybridOptimizer::RunResolved(const ResolvedQuery& rq,
         Result<Relation> answer = Status::Internal("unset");
         for (;;) {
           if (controller.has_value()) {
+            // Estimated over the same columns the evaluator keeps, so a
+            // trip compares like with like.
             StatsDecompositionCostModel est_model(h, edge_stats);
+            const std::vector<Bitset> keep =
+                SeparatorKeepSets(current_hd, out_vars);
             std::vector<double> estimates(current_hd.NumNodes(), 0.0);
             for (std::size_t p = 0; p < current_hd.NumNodes(); ++p) {
-              estimates[p] = est_model.VertexRows(current_hd.node(p).lambda,
-                                                  current_hd.node(p).chi);
+              estimates[p] =
+                  est_model.VertexRows(current_hd.node(p).lambda, keep[p]);
             }
             controller->BeginTree(std::move(estimates));
           }

@@ -47,10 +47,12 @@ class ReplanController {
   };
 
   // Checkpoint key: (sorted atom indices of the subtree's lambda union,
-  // sorted chi variable ids). Both index the query's fixed atom/variable
-  // numbering, so keys are stable across replans of one query, and the key
-  // fully determines the node relation: every node projection is
-  // set-semantics, so rel(p) = pi_chi(p)(join of the subtree's atoms).
+  // sorted variable ids of the separator keep(p) the node hands upward).
+  // Both index the query's fixed atom/variable numbering, so keys are stable
+  // across replans of one query, and the key fully determines the node
+  // relation: every node projection is set-semantics, so
+  // rel(p) = pi_keep(p)(join of the subtree's atoms), and a checkpoint is
+  // only ever handed to a node that expects exactly its columns.
   using CheckpointKey =
       std::pair<std::vector<std::size_t>, std::vector<std::size_t>>;
 

@@ -7,24 +7,21 @@
 #include "exec/adaptive.h"
 #include "exec/executor.h"
 #include "opt/tree_waves.h"
+#include "util/strings.h"
 
 namespace htqo {
 
-namespace {
-
-// Projects `rel` onto the chi variables that are present in its schema,
-// deduplicating (set semantics).
-Result<Relation> ProjectToChi(const ResolvedQuery& rq, const Bitset& chi,
-                              const Relation& rel, ExecContext* ctx) {
-  std::vector<std::string> keep;
-  for (std::size_t v : chi.ToVector()) {
-    const std::string& name = rq.cq.vars[v].name;
-    if (rel.schema().IndexOf(name).has_value()) keep.push_back(name);
+std::vector<Bitset> SeparatorKeepSets(const Hypertree& hd,
+                                      const Bitset& out_vars) {
+  std::vector<Bitset> keep(hd.NumNodes());
+  for (std::size_t p = 0; p < hd.NumNodes(); ++p) {
+    const std::size_t parent = hd.node(p).parent;
+    keep[p] = hd.node(p).chi;
+    keep[p] &= parent == HypertreeNode::kNoParent ? out_vars
+                                                  : hd.node(parent).chi;
   }
-  return ProjectByName(rel, keep, /*distinct=*/true, ctx);
+  return keep;
 }
-
-}  // namespace
 
 Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
                                        const Catalog& catalog,
@@ -33,6 +30,29 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
   if (rq.cq.always_false) return EmptyAnswer(rq);
 
   std::vector<std::optional<Relation>> rel(hd.NumNodes());
+
+  // Every node hands its parent only the separator keep(p) (the root: only
+  // out(Q)), so the variables of chi(p) outside it are projected away at p.
+  // Sound by connectedness: such a variable occurs in no chi outside the
+  // subtree of p, so it is not an output variable (out(Q) is inside
+  // chi(root)) and every atom mentioning it is anchored inside the subtree,
+  // where its constraint has already been applied in full.
+  const Bitset out_vars = OutputVarsBitset(rq.cq);
+  HTQO_CHECK(out_vars.IsSubsetOf(hd.node(hd.root()).chi));
+  const std::vector<Bitset> keep = SeparatorKeepSets(hd, out_vars);
+  std::vector<std::vector<std::string>> keep_names(hd.NumNodes());
+  for (std::size_t p = 0; p < hd.NumNodes(); ++p) {
+    for (std::size_t v : keep[p].ToVector()) {
+      keep_names[p].push_back(rq.cq.vars[v].name);
+    }
+  }
+  // The "keep" span attribute renders the columns a node result actually
+  // carries (EXPLAIN ANALYZE prints it beside the row count).
+  auto schema_attr = [](const Relation& r) {
+    std::vector<std::string> names;
+    for (const Column& col : r.schema().columns()) names.push_back(col.name);
+    return "{" + Join(names, ",") + "}";
+  };
 
   // Adaptive re-planning (DESIGN.md §6h): with a controller on the context,
   // both engines iterate height waves (so trip decisions happen at thread-
@@ -57,7 +77,7 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
       for (std::size_t c : hd.node(p).children) {
         subtree_lambda[p] |= subtree_lambda[c];
       }
-      keys[p] = {subtree_lambda[p].ToVector(), hd.node(p).chi.ToVector()};
+      keys[p] = {subtree_lambda[p].ToVector(), keep[p].ToVector()};
     }
     for (std::size_t p : hd.PreOrder()) {
       const std::size_t parent = hd.node(p).parent;
@@ -78,6 +98,9 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
         ScopedSpan node_span(ctx->tracer, "qhd.node", ctx->SpanParent());
         node_span.Attr("node", p);
         node_span.Attr("checkpoint", "reused");
+        if (ctx->tracer != nullptr) {
+          node_span.Attr("keep", schema_attr(*staged[p]));
+        }
         node_span.Attr("rows", staged[p]->NumRows());
         rel[p] = std::move(*staged[p]);
         staged[p].reset();
@@ -122,7 +145,7 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
     }
     HTQO_CHECK(!pool.empty());
 
-    // After each fold step, project to the chi variables plus everything a
+    // After each fold step, project to the separator plus everything a
     // remaining pool item still joins on (dropping those would break the
     // pending joins); deduplicate (set semantics) to keep the polynomial
     // bound.
@@ -130,10 +153,8 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
                               const std::vector<bool>& used) {
       std::vector<std::string> names;
       for (const Column& col : in.schema().columns()) {
-        bool needed = false;
-        for (std::size_t v : node.chi.ToVector()) {
-          if (rq.cq.vars[v].name == col.name) needed = true;
-        }
+        bool needed = std::find(keep_names[p].begin(), keep_names[p].end(),
+                                col.name) != keep_names[p].end();
         if (!needed) {
           for (std::size_t i = 0; i < pool.size() && !needed; ++i) {
             if (used[i]) continue;
@@ -187,19 +208,18 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
       current = std::move(projected.value());
       ctx->NotePeak(*current);
     }
-    // Final projection to chi(p) exactly.
-    auto chi_rel = ProjectToChi(rq, node.chi, *current, ctx);
-    if (!chi_rel.ok()) return chi_rel.status();
-    current = std::move(chi_rel.value());
+    // Final projection onto the separator exactly. Every keep(p) variable
+    // must be available (guaranteed by condition 3 pre-Optimize and by the
+    // pruning guard post-Optimize); ProjectByName checks it. After a fold
+    // step `current` already holds exactly keep(p), deduplicated, so only
+    // the column order changes and no second distinct pass is needed.
+    auto kept = ProjectByName(*current, keep_names[p],
+                              /*distinct=*/pool.size() == 1, ctx);
+    if (!kept.ok()) return kept.status();
+    current = std::move(kept.value());
     ctx->NotePeak(*current);
-
-    HTQO_CHECK(current.has_value());
-    // Every chi(p) variable must now be available (guaranteed by condition 3
-    // pre-Optimize and by the pruning guard post-Optimize).
-    for (std::size_t v : node.chi.ToVector()) {
-      HTQO_CHECK(current->schema().IndexOf(rq.cq.vars[v].name).has_value());
-    }
     node_span.Attr("rows", current->NumRows());
+    if (ctx->tracer != nullptr) node_span.Attr("keep", schema_attr(*current));
     rel[p] = std::move(*current);
     return Status::Ok();
   };
@@ -259,13 +279,12 @@ Result<Relation> EvaluateDecomposition(const ResolvedQuery& rq,
     }
   }
 
-  // --- Step P''': project the root onto out(Q). ----------------------------
-  Bitset out_vars = OutputVarsBitset(rq.cq);
-  HTQO_CHECK(out_vars.IsSubsetOf(hd.node(hd.root()).chi));
+  // --- Step P''': the root already holds out(Q), deduplicated; only the
+  // column order of out(Q) is left to apply. ---------------------------------
   std::vector<std::string> out_names;
   out_names.reserve(rq.cq.output_vars.size());
   for (VarId v : rq.cq.output_vars) out_names.push_back(rq.cq.vars[v].name);
-  return ProjectByName(*rel[hd.root()], out_names, /*distinct=*/true, ctx);
+  return ProjectByName(*rel[hd.root()], out_names, /*distinct=*/false, ctx);
 }
 
 Result<QhdEvaluation> EvaluateQhd(const ResolvedQuery& rq,

@@ -3,12 +3,14 @@
 // Given a q-hypertree decomposition of CQ(Q):
 //   P':   at every node, join the relations of lambda(p) (smallest-first,
 //         the quantitative optimization inside each vertex of the tight
-//         PostgreSQL coupling) and project onto chi(p);
+//         PostgreSQL coupling);
 //   P'':  bottom-up along the tree, join every node with its children —
-//         children recorded by Procedure Optimize first — projecting back
-//         onto chi(p) after each join; projections deduplicate (CQ set
-//         semantics), which is what yields the polynomial bound;
-//   P''': project the root onto out(Q).
+//         children recorded by Procedure Optimize first — projecting after
+//         each join onto the separator chi(p) ∩ chi(parent) plus the columns
+//         the node's pending joins still need; projections deduplicate (CQ
+//         set semantics), which is what yields the polynomial bound;
+//   P''': the root is projected onto chi(root) ∩ out(Q) = out(Q) like any
+//         other node, so only the column order of out(Q) is left to apply.
 
 #ifndef HTQO_OPT_QHD_PLANNER_H_
 #define HTQO_OPT_QHD_PLANNER_H_
@@ -34,6 +36,12 @@ struct QhdEvaluation {
   QhdResult decomposition;
   Relation answer;  // CQ answer: one column per out(Q) variable
 };
+
+// The columns each node of `hd` hands its parent, indexed by node:
+// chi(p) ∩ chi(parent(p)) for a non-root node, chi(root) ∩ out_vars at the
+// root. The evaluator projects every node result onto exactly this set.
+std::vector<Bitset> SeparatorKeepSets(const Hypertree& hd,
+                                      const Bitset& out_vars);
 
 // Evaluates the CQ of `rq` against `catalog` using the decomposition `hd`
 // (steps P', P'', P''' only — no decomposition search). Exposed for the

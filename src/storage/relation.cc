@@ -34,15 +34,17 @@ int CompareRows(std::span<const Value> a, std::span<const Value> b,
 
 Relation Relation::Project(const std::vector<std::size_t>& indices) const {
   Relation out(schema_.Project(indices));
-  out.Reserve(NumRows());
-  std::vector<Value> row(indices.size());
-  for (std::size_t r = 0; r < NumRows(); ++r) {
-    auto src = Row(r);
-    for (std::size_t i = 0; i < indices.size(); ++i) row[i] = src[indices[i]];
-    out.AddRow(row);
-  }
+  const std::size_t n = NumRows();
   if (arity() == 0 || indices.empty()) {
-    out.zero_arity_rows_ = NumRows();
+    out.zero_arity_rows_ = n;
+    return out;
+  }
+  // One allocation, then a strided gather straight into the tuple store.
+  const std::size_t stride = arity();
+  const Value* src = data_.data();
+  Value* dst = out.AppendRaw(n);
+  for (std::size_t r = 0; r < n; ++r, src += stride) {
+    for (std::size_t col : indices) *dst++ = src[col];
   }
   return out;
 }

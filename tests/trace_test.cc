@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
+#include "workload/query_gen.h"
 #include "workload/synthetic.h"
 #include "workload/tpch_gen.h"
 #include "workload/tpch_queries.h"
@@ -376,6 +377,41 @@ TEST_F(TracingThreadingTest, SpilledRunEmitsPartitionSpans) {
   if (run->spill.spill_events > 0) {
     EXPECT_TRUE(SpanNames(spans).count("spill.partition"));
   }
+}
+
+// EXPLAIN ANALYZE on a cyclic chain: a node's rows count its result over
+// the separator it hands upward, so every node line names those columns.
+TEST(ExplainAnalyzeTest, ChainPlanDetailsShowKeptColumnsOnEveryNode) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  Catalog catalog;
+  PopulateSyntheticCatalog(SyntheticConfig{120, 40, 8, 11}, &catalog);
+  StatisticsRegistry stats;
+  stats.AnalyzeAll(catalog);
+  HybridOptimizer optimizer(&catalog, &stats);
+  RunOptions options;
+  options.mode = OptimizerMode::kQhdHybrid;
+  Tracer tracer;
+  options.trace.tracer = &tracer;
+  auto run = optimizer.Run(ChainQuerySql(8), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  std::size_t node_lines = 0;
+  std::size_t start = 0;
+  while (start < run->plan_details.size()) {
+    std::size_t end = run->plan_details.find('\n', start);
+    if (end == std::string::npos) end = run->plan_details.size();
+    const std::string line = run->plan_details.substr(start, end - start);
+    start = end + 1;
+    if (line.find("chi={") == std::string::npos) continue;
+    ++node_lines;
+    const std::size_t rows = line.find("[rows=");
+    ASSERT_NE(rows, std::string::npos) << line;
+    EXPECT_NE(line.find(" keep={", rows), std::string::npos) << line;
+  }
+  EXPECT_GE(node_lines, 2u) << run->plan_details;
+  // The root is rendered first and hands up out(Q) = {a} (r1.a) only.
+  const std::string root_line =
+      run->plan_details.substr(0, run->plan_details.find('\n'));
+  EXPECT_NE(root_line.find(" keep={a} "), std::string::npos) << root_line;
 }
 
 }  // namespace

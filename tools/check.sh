@@ -29,8 +29,14 @@
 #                           # SIGTERM-drain, and emit BENCH_server.json; then
 #                           # repeat the smoke + server/admission suites
 #                           # under ASan and TSan
+#   tools/check.sh --stress # concurrency invariants in one process: the
+#                           # parallel/engine/spill equivalence suites and
+#                           # the chaos, nested-query and governor suites,
+#                           # 20 shuffled repeats on the plain build (run on
+#                           # a host with >=4 CPUs so the 4-thread sweeps
+#                           # really run in parallel)
 #   tools/check.sh --all    # plain + ASan + TSan + chaos + vectorized +
-#                           # adaptive + server
+#                           # adaptive + server + stress
 #
 # The sanitized passes are what give the fault-injection sweep and the
 # parallel engine their teeth: an injected failure that leaks, touches
@@ -180,6 +186,7 @@ want_chaos=false
 want_server=false
 want_vectorized=false
 want_adaptive=false
+want_stress=false
 case "${1:-}" in
   "") ;;
   --asan) want_asan=true ;;
@@ -188,13 +195,14 @@ case "${1:-}" in
   --server) want_server=true ;;
   --vectorized) want_vectorized=true ;;
   --adaptive) want_adaptive=true ;;
+  --stress) want_stress=true ;;
   --all)
     want_asan=true; want_tsan=true; want_chaos=true; want_server=true
-    want_vectorized=true; want_adaptive=true
+    want_vectorized=true; want_adaptive=true; want_stress=true
     ;;
   *)
     echo "error: unknown flag '${1}' (expected --asan, --tsan, --chaos," \
-         "--server, --vectorized, --adaptive, or --all)" >&2
+         "--server, --vectorized, --adaptive, --stress, or --all)" >&2
     exit 2
     ;;
 esac
@@ -344,6 +352,24 @@ if $want_server; then
       -R 'Server|Admission'
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     server_smoke build-tsan
+fi
+
+if $want_stress; then
+  # The invariants of DESIGN.md §6 (byte-identical output and identical
+  # meters at any thread count, engine or spill setting) held in one
+  # process over repeated, shuffled runs — not just one test per process as
+  # ctest runs them. The suites sweep 1/2/4 threads themselves.
+  echo "==> concurrency stress (20 shuffled repeats)"
+  if (( $(nproc) < 4 )); then
+    echo "warning: $(nproc) CPU(s); the 4-thread sweeps cannot run fully" \
+         "in parallel here" >&2
+  fi
+  stress_filter='*ParallelEquivalenceTest.*:*EngineEquivalenceTest.*'
+  stress_filter+=':*SpillEquivalenceTest.*:ChaosSweepTest.*'
+  stress_filter+=':NestedQueryTest.*:Govern*:ParallelGovernorFixture.*'
+  build/tests/htqo_tests --gtest_filter="$stress_filter" \
+    --gtest_repeat=20 --gtest_shuffle \
+    --gtest_brief=1
 fi
 
 echo "==> all checks passed"
